@@ -30,10 +30,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.runtime.spec import RunSpec, SPEC_SCHEMA_VERSION
 
@@ -85,6 +86,8 @@ class CacheStats:
     evictions: int = 0
     served: int = 0             #: results adopted from a peer's claim
     lookup_us: List[float] = field(default_factory=list, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False,
+                                  compare=False)
 
     #: bound on retained latency samples (drop-oldest beyond this)
     MAX_SAMPLES = 65536
@@ -98,19 +101,37 @@ class CacheStats:
         """Hits served by the in-memory tier (no disk/db involved)."""
         return self.hits - self.disk_hits
 
-    def record_lookup(self, elapsed_us: float) -> None:
-        samples = self.lookup_us
-        if len(samples) >= self.MAX_SAMPLES:  # pragma: no cover - bound
-            del samples[: self.MAX_SAMPLES // 2]
-        samples.append(elapsed_us)
+    def record_lookup(self, elapsed_us: float, hit: bool = False,
+                      disk: bool = False) -> None:
+        """Count one lookup (a hit, from ``disk`` or memory, or a miss)
+        and keep its latency sample.
+
+        Locked: the service's event loop and its executor threads look
+        up concurrently, and ``+=`` is not atomic across threads.
+        """
+        with self._lock:
+            if hit:
+                self.hits += 1
+                if disk:
+                    self.disk_hits += 1
+            else:
+                self.misses += 1
+            samples = self.lookup_us
+            if len(samples) >= self.MAX_SAMPLES:  # pragma: no cover - bound
+                del samples[: self.MAX_SAMPLES // 2]
+            samples.append(elapsed_us)
 
     def percentile_us(self, q: float) -> Optional[float]:
         """q-quantile (0..1) of recorded lookup latencies, in µs."""
+        return self.percentiles_us(q)[0]
+
+    def percentiles_us(self, *qs: float) -> Tuple[Optional[float], ...]:
+        """Several quantiles from one sort of the samples (None if empty)."""
         if not self.lookup_us:
-            return None
+            return (None,) * len(qs)
         ordered = sorted(self.lookup_us)
-        idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[idx]
+        last = len(ordered) - 1
+        return tuple(ordered[min(last, max(0, round(q * last)))] for q in qs)
 
     def reset(self) -> None:
         self.hits = self.misses = self.stores = self.disk_hits = 0
@@ -122,8 +143,8 @@ class CacheStats:
                "stores": self.stores, "disk_hits": self.disk_hits,
                "mem_hits": self.mem_hits, "corrupt": self.corrupt,
                "evictions": self.evictions, "served": self.served}
-        p50, p95 = self.percentile_us(0.5), self.percentile_us(0.95)
-        if p50 is not None:
+        p50, p95 = self.percentiles_us(0.5, 0.95)
+        if p50 is not None and p95 is not None:
             out["lookup_p50_us"] = round(p50, 1)
             out["lookup_p95_us"] = round(p95, 1)
         return out
@@ -131,10 +152,10 @@ class CacheStats:
     def __str__(self) -> str:
         base = (f"{self.hits} hits, {self.misses} misses "
                 f"({self.disk_hits} from disk, {self.stores} stored)")
-        p50 = self.percentile_us(0.5)
-        if p50 is not None:
+        p50, p95 = self.percentiles_us(0.5, 0.95)
+        if p50 is not None and p95 is not None:
             base += (f", lookup p50 {p50 / 1000.0:.3f}ms "
-                     f"p95 {self.percentile_us(0.95) / 1000.0:.3f}ms")
+                     f"p95 {p95 / 1000.0:.3f}ms")
         if self.served:
             base += f", {self.served} peer-served"
         if self.evictions:
@@ -251,6 +272,8 @@ class ResultCache:
                  **backend_options) -> None:
         self.salt = salt if salt is not None else code_salt()
         self._mem: dict = {}
+        #: digest -> (payload, encode(payload)) memo, see :meth:`encoded`
+        self._encoded: Dict[str, Tuple[dict, Any]] = {}
         self.stats = CacheStats()
         self._backend = None
         self._backend_kind: Optional[str] = None
@@ -327,24 +350,49 @@ class ResultCache:
     # ------------------------------------------------------------------
     def lookup(self, spec: RunSpec) -> Optional[dict]:
         """Return the cached payload, or None (counting a hit or a miss)."""
+        payload = self.lookup_memory(spec)
+        if payload is not None:
+            return payload
         t0 = time.perf_counter()
         digest = spec.digest
-        payload = self._mem.get(digest)
-        if payload is not None:
-            self.stats.hits += 1
-            self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
-            return payload
         if self._backend is not None:
             payload = self._backend.get(digest)
-            if payload is not None:
-                self._mem[digest] = payload
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
-                return payload
-        self.stats.misses += 1
-        self.stats.record_lookup((time.perf_counter() - t0) * 1e6)
-        return None
+        if payload is not None:
+            self._install(digest, payload)
+        self.stats.record_lookup((time.perf_counter() - t0) * 1e6,
+                                 hit=payload is not None, disk=True)
+        return payload
+
+    def lookup_memory(self, spec: RunSpec) -> Optional[dict]:
+        """Memory-tier-only :meth:`lookup`: never touches the shared tier.
+
+        A hit is counted and timed exactly as :meth:`lookup` counts it;
+        an absent entry counts nothing, because the caller falls through
+        to :meth:`lookup`, which then counts the hit or miss once.
+        """
+        t0 = time.perf_counter()
+        payload = self._mem.get(spec.digest)
+        if payload is not None:
+            self.stats.record_lookup((time.perf_counter() - t0) * 1e6,
+                                     hit=True)
+        return payload
+
+    def encoded(self, digest: str, payload: dict,
+                encode: Callable[[dict], Any]) -> Any:
+        """``encode(payload)`` for a memory-tier entry, computed once.
+
+        The memo is dropped whenever the entry is replaced or cleared and
+        is keyed on the payload object itself, so it never outlives (or
+        answers for) a payload other than the one it was computed from.
+        """
+        memo = self._encoded.get(digest)
+        if memo is None or memo[0] is not payload:
+            memo = self._encoded[digest] = (payload, encode(payload))
+        return memo[1]
+
+    def _install(self, digest: str, payload: dict) -> None:
+        self._mem[digest] = payload
+        self._encoded.pop(digest, None)
 
     def peek(self, spec: RunSpec) -> Optional[dict]:
         """Shared-tier-only read with no hit/miss accounting.
@@ -361,7 +409,7 @@ class ResultCache:
 
     def store(self, spec: RunSpec, payload: dict) -> None:
         digest = spec.digest
-        self._mem[digest] = payload
+        self._install(digest, payload)
         self.stats.stores += 1
         if self._backend is not None:
             self._backend.put(digest, payload)
@@ -369,7 +417,7 @@ class ResultCache:
     def adopt(self, spec: RunSpec, payload: dict) -> None:
         """Install a payload obtained from a peer (memory tier only —
         the peer already wrote the shared tier)."""
-        self._mem[spec.digest] = payload
+        self._install(spec.digest, payload)
         self.stats.served += 1
 
     # ------------------------------------------------------------------
@@ -382,6 +430,7 @@ class ResultCache:
     def clear(self, stats: bool = True) -> None:
         """Drop in-memory entries (the shared tier is left alone)."""
         self._mem.clear()
+        self._encoded.clear()
         if stats:
             self.stats.reset()
 

@@ -34,7 +34,8 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.spec import KIND_APP, KIND_MICROBENCH, RunSpec, thaw_mapping
 
 __all__ = ["execute_spec", "SweepExecutor", "SweepError", "SweepStats",
-           "SpecExecutionError", "KIND_ERROR", "is_error_payload"]
+           "PendingSweep", "SpecExecutionError", "KIND_ERROR",
+           "is_error_payload"]
 
 #: payload kind marking a spec that raised instead of producing a result
 KIND_ERROR = "error"
@@ -303,6 +304,17 @@ class SweepStats:
         return ", ".join(parts)
 
 
+@dataclass
+class PendingSweep:
+    """What :meth:`SweepExecutor.resolve_memory` left for
+    :meth:`SweepExecutor.resolve_rest`."""
+
+    specs: List[RunSpec]            #: the whole sweep, input order
+    indexes: Dict[str, List[int]]   #: digest -> its input indexes
+    cached: int                     #: unique digests the memory tier held
+    pending: List[RunSpec]          #: one spec per unresolved digest
+
+
 class _ClaimHeartbeat(threading.Thread):
     """Background heartbeat on held claims while their specs execute.
 
@@ -451,8 +463,23 @@ class SweepExecutor:
         they finish; claim-waited specs stream as the winning peer's
         results land in the shared tier.  Every input index is yielded
         exactly once (duplicate specs resolve together, the moment
-        their digest does).  This is the primitive the NDJSON service
-        front-end streams from.
+        their digest does).  This chains the two phases the NDJSON
+        service front-end runs on different threads:
+        :meth:`resolve_memory`, then :meth:`resolve_rest`.
+        """
+        hits, rest = self.resolve_memory(specs)
+        yield from hits
+        yield from self.resolve_rest(rest)
+
+    def resolve_memory(self, specs: Sequence[RunSpec]
+                       ) -> Tuple[List[Tuple[int, RunSpec, dict]],
+                                  PendingSweep]:
+        """Non-blocking phase: resolve what the in-memory tier holds.
+
+        Reads the cache's memory tier only — no shared-tier I/O, no
+        claims, no execution — so an event loop may call it.  Returns
+        the resolved ``(index, spec, payload)`` triples and the rest of
+        the sweep for :meth:`resolve_rest`.
         """
         specs = list(specs)
         sweep = self.sweep
@@ -460,23 +487,40 @@ class SweepExecutor:
         indexes: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
             indexes.setdefault(spec.digest, []).append(i)
-        resolved: Dict[str, dict] = {}
+        hits: List[Tuple[int, RunSpec, dict]] = []
         pending: List[RunSpec] = []
-        seen_pending = set()
-        for spec in specs:
-            digest = spec.digest
-            if digest in resolved or digest in seen_pending:
+        for digest, where in indexes.items():  # first-occurrence order
+            spec = specs[where[0]]
+            payload = self.cache.lookup_memory(spec) \
+                if self.cache is not None else None
+            if payload is None:
+                pending.append(spec)
                 continue
+            sweep.cached += 1
+            self._emit("cache_hit", spec=spec.describe(), digest=digest)
+            hits.extend(self._resolve(specs, indexes, spec, payload))
+        cached = len(indexes) - len(pending)
+        sweep.unique += cached
+        return hits, PendingSweep(specs, indexes, cached, pending)
+
+    def resolve_rest(self, rest: PendingSweep
+                     ) -> Iterator[Tuple[int, RunSpec, dict]]:
+        """Blocking phase: shared-tier reads, claims and execution for
+        the specs :meth:`resolve_memory` left over."""
+        specs, indexes = rest.specs, rest.indexes
+        sweep = self.sweep
+        sweep.unique += len(rest.pending)
+        cached = rest.cached
+        pending: List[RunSpec] = []
+        for spec in rest.pending:
             payload = self.cache.lookup(spec) if self.cache is not None else None
             if payload is not None:
-                resolved[digest] = payload
+                cached += 1
                 sweep.cached += 1
-                self._emit("cache_hit", spec=spec.describe(), digest=digest)
+                self._emit("cache_hit", spec=spec.describe(), digest=spec.digest)
                 yield from self._resolve(specs, indexes, spec, payload)
             else:
                 pending.append(spec)
-                seen_pending.add(digest)
-        sweep.unique += len(resolved) + len(pending)
         errors: List[dict] = []
         if pending:
             claims = self.cache.claims if self.cache is not None else None
@@ -495,7 +539,7 @@ class SweepExecutor:
                                 and not is_error_payload(payload):
                             claims.release_claim(spec.digest)
                             self.cache.adopt(spec, payload)
-                            resolved[spec.digest] = payload
+                            cached += 1
                             sweep.cached += 1
                             self._emit("cache_hit", spec=spec.describe(),
                                        digest=spec.digest)
@@ -512,8 +556,8 @@ class SweepExecutor:
                         self._emit("claim_waited", spec=spec.describe(),
                                    digest=spec.digest)
             self._emit("sweep_started", specs=len(specs),
-                       unique=len(resolved) + len(pending),
-                       cached=len(resolved), pending=len(pending),
+                       unique=cached + len(pending),
+                       cached=cached, pending=len(pending),
                        jobs=self.jobs, waiting=len(waiting))
             t_sweep = time.perf_counter()
             heartbeat = None
@@ -527,7 +571,6 @@ class SweepExecutor:
                     done += 1
                     payload = self._complete(spec, payload, errors, claims,
                                              done, len(owned))
-                    resolved[spec.digest] = payload
                     yield from self._resolve(specs, indexes, spec, payload)
             finally:
                 if heartbeat is not None:
@@ -536,16 +579,18 @@ class SweepExecutor:
             for spec in waiting:
                 payload, from_peer = self._await_peer(spec, claims, errors)
                 peer_served += 1 if from_peer else 0
-                resolved[spec.digest] = payload
                 yield from self._resolve(specs, indexes, spec, payload)
-            finish = {"executed": len(pending) - peer_served - len(errors),
-                      "errors": len(errors),
-                      "wall_s": round(time.perf_counter() - t_sweep, 4)}
-            if waiting:
-                finish["waited"] = len(waiting)
-            if self.cache is not None:
-                finish["cache"] = self.cache.stats.as_dict()
-            self._emit("sweep_finished", **finish)
+            if self.ledger is not None:
+                # built only for a ledger: the cache stats dict sorts
+                # every retained lookup sample
+                finish = {"executed": len(pending) - peer_served - len(errors),
+                          "errors": len(errors),
+                          "wall_s": round(time.perf_counter() - t_sweep, 4)}
+                if waiting:
+                    finish["waited"] = len(waiting)
+                if self.cache is not None:
+                    finish["cache"] = self.cache.stats.as_dict()
+                self._emit("sweep_finished", **finish)
         if errors and self.strict:
             raise SweepError(errors)
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping  # isinstance() is slow on typing.Mapping
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.networks import canonical_network
 
@@ -30,6 +31,10 @@ SPEC_SCHEMA_VERSION = 1
 
 KIND_APP = "app"
 KIND_MICROBENCH = "microbench"
+
+#: the digest's canonical JSON (one encoder, not one per json.dumps call)
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                default=list).encode
 
 Pairs = Tuple[Tuple[str, Any], ...]
 
@@ -148,20 +153,19 @@ class RunSpec:
         cached = self.__dict__.get("_digest")
         if cached is None:
             payload = {"schema": SPEC_SCHEMA_VERSION}
-            for f in fields(self):
-                value = getattr(self, f.name)
-                if f.name == "faults" and not value:
+            for name, _default in _FIELD_DEFAULTS:
+                value = getattr(self, name)
+                if name == "faults" and not value:
                     # fault-free specs digest exactly as they did before
                     # the fault field existed: the on-disk cache keys of
                     # every existing result stay valid
                     continue
-                if f.name == "topology" and value is None:
+                if name == "topology" and value is None:
                     # same back-compat rule for the topology field: the
                     # testbed crossbar digests as before the field existed
                     continue
-                payload[f.name] = value
-            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                              default=list)
+                payload[name] = value
+            blob = _DIGEST_JSON(payload)
             cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_digest", cached)
         return cached
@@ -179,20 +183,32 @@ class RunSpec:
         Defaults are elided to keep batch files small.
         """
         out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value == f.default:
+        for name, default in _FIELD_DEFAULTS:
+            value = getattr(self, name)
+            if value == default:
                 continue
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_jsonable(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_jsonable` (also accepts hand-written dicts)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """Inverse of :meth:`to_jsonable` (also accepts hand-written dicts).
+
+        Fails closed on anything the wire should not carry: a non-object,
+        an unknown field, or a field of the wrong JSON type (``TypeError``
+        / ``ValueError``, never a half-built spec).
+        """
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a RunSpec must be a JSON object, "
+                            f"got {type(data).__name__}")
+        unknown = set(data) - _WIRE_CHECKS.keys()
         if unknown:
             raise ValueError(f"unknown RunSpec fields: {sorted(unknown)}")
+        for name, value in data.items():
+            expected, check = _WIRE_CHECKS[name]
+            if not check(value):
+                raise TypeError(f"RunSpec field {name!r} must be {expected}, "
+                                f"got {value!r:.60}")
         kwargs = dict(data)
         if "sizes" in kwargs:
             kwargs["sizes"] = tuple(kwargs["sizes"])
@@ -221,3 +237,40 @@ class RunSpec:
         if self.topology is not None:
             label += f" topo={self.topology}"
         return label
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    # exact types (no bool), checked without a Python call per element
+    return isinstance(value, (list, tuple)) and {int}.issuperset(map(type, value))
+
+
+def _is_pairs(value: Any) -> bool:
+    if isinstance(value, Mapping):
+        return True
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+        for p in value)
+
+
+#: per field annotation: (what the wire must carry, its JSON-type check)
+_TYPE_CHECKS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string or null",
+                      lambda v: v is None or isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "Optional[int]": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "Tuple[int, ...]": ("a list of integers", _is_int_list),
+    "Pairs": ("an object or a list of [key, value] pairs", _is_pairs),
+}
+
+# field lists resolved once: digest / to_jsonable / from_jsonable run per
+# spec on every request, and dataclasses.fields() rebuilds its tuple per call
+_FIELD_DEFAULTS: Tuple[Tuple[str, Any], ...] = tuple(
+    (f.name, f.default) for f in fields(RunSpec))
+_WIRE_CHECKS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    f.name: _TYPE_CHECKS[str(f.type)] for f in fields(RunSpec)}

@@ -3,16 +3,18 @@
 :func:`iter_batch` POSTs a RunSpec batch and yields one parsed NDJSON
 record per spec as the server resolves it (cache hits arrive in
 milliseconds, fresh simulations as they finish); :func:`submit_batch`
-collects them back into input order.  The transport is plain
-``http.client`` with ``Connection: close`` framing — lines are read
-until EOF, so no chunked-encoding support is needed on either side.
+collects them back into input order.  The transport is a plain socket
+speaking the server's ``Connection: close`` framing: one request, then
+the status line, headers and body lines read until EOF — no chunked
+encoding, no keep-alive, nothing ``http.client`` would add per request.
 """
 
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+import socket
+from contextlib import contextmanager
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.runtime.spec import RunSpec
 
@@ -29,6 +31,34 @@ def _jsonable(spec: Specish) -> dict:
     return spec.to_jsonable() if isinstance(spec, RunSpec) else dict(spec)
 
 
+@contextmanager
+def _exchange(method: str, path: str, host: str, port: int,
+              timeout_s: float, body: bytes = b"") -> Iterator[BinaryIO]:
+    """Send one request; yield the reply body stream once the status is 200.
+
+    A non-200 reply raises :class:`ServiceError` carrying its body.
+    """
+    head = (f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n")
+    with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        with sock.makefile("rb") as stream:
+            status_line = stream.readline()
+            parts = status_line.split(None, 2)
+            if len(parts) < 2 or not parts[0].startswith(b"HTTP/") \
+                    or not parts[1].isdigit():
+                raise ServiceError(
+                    f"bad status line from server: {status_line[:80]!r}")
+            while stream.readline() not in (b"\r\n", b"\n", b""):
+                pass  # headers: the framing is always Connection: close
+            status = int(parts[1])
+            if status != 200:
+                detail = stream.read().decode("utf-8", "replace").strip()
+                raise ServiceError(f"HTTP {status}: {detail}")
+            yield stream
+
+
 def iter_batch(specs: Sequence[Specish], host: str = "127.0.0.1",
                port: int = 8123, timeout_s: float = 600.0) -> Iterator[dict]:
     """POST a batch, yield one result record per line as it streams in.
@@ -36,32 +66,28 @@ def iter_batch(specs: Sequence[Specish], host: str = "127.0.0.1",
     Records look like ``{"index": 3, "digest": "...", "payload": {...},
     "payload_digest": "...", "error": false}``; the terminal
     ``{"done": true}`` summary is yielded last.  Raises
-    :class:`ServiceError` on a non-200 response or a server-reported
-    batch failure.
+    :class:`ServiceError` on a non-200 response, a bad NDJSON line, a
+    server-reported batch failure or a stream that ends before ``done``.
     """
     body = json.dumps({"specs": [_jsonable(s) for s in specs]}).encode("utf-8")
-    conn = HTTPConnection(host, port, timeout=timeout_s)
-    try:
-        conn.request("POST", "/batch", body=body,
-                     headers={"Content-Type": "application/json",
-                              "Connection": "close"})
-        resp = conn.getresponse()
-        if resp.status != 200:
-            detail = resp.read().decode("utf-8", "replace").strip()
-            raise ServiceError(f"HTTP {resp.status}: {detail}")
-        for raw in resp:
+    with _exchange("POST", "/batch", host, port, timeout_s, body) as stream:
+        for raw in stream:
             raw = raw.strip()
             if not raw:
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ServiceError(f"bad NDJSON line from server: {exc}")
-            if record.get("done") and record.get("failed"):
-                raise ServiceError(f"batch failed: {record['failed']}")
+            if not isinstance(record, dict):
+                raise ServiceError(f"bad NDJSON line from server: {raw[:80]!r}")
+            if record.get("done"):
+                if record.get("failed"):
+                    raise ServiceError(f"batch failed: {record['failed']}")
+                yield record
+                return
             yield record
-    finally:
-        conn.close()
+    raise ServiceError("server closed the stream before its done line")
 
 
 def submit_batch(specs: Sequence[Specish], host: str = "127.0.0.1",
@@ -81,13 +107,9 @@ def submit_batch(specs: Sequence[Specish], host: str = "127.0.0.1",
 def get_json(path: str, host: str = "127.0.0.1", port: int = 8123,
              timeout_s: float = 30.0) -> dict:
     """GET a JSON endpoint (``/healthz``, ``/stats``)."""
-    conn = HTTPConnection(host, port, timeout=timeout_s)
+    with _exchange("GET", path, host, port, timeout_s) as stream:
+        data = stream.read()
     try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        data = resp.read().decode("utf-8", "replace")
-        if resp.status != 200:
-            raise ServiceError(f"HTTP {resp.status}: {data.strip()}")
         return json.loads(data)
-    finally:
-        conn.close()
+    except ValueError as exc:
+        raise ServiceError(f"bad JSON from server: {exc}")

@@ -28,6 +28,7 @@ import socket
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.metrics import MetricsRegistry
 from repro.obs.ledger import RunLedger
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor, SweepStats, is_error_payload
@@ -38,6 +39,13 @@ __all__ = ["SweepService", "serve", "payload_digest", "MAX_BODY_BYTES"]
 #: refuse request bodies larger than this (a 4096-spec batch is ~1 MiB)
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
+# reused encoders: json.dumps with options builds a new encoder per call
+#: what every NDJSON line is encoded with
+_WIRE_JSON = json.JSONEncoder(separators=(",", ":"), default=str).encode
+#: the canonical payload JSON behind payload_digest
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   default=str).encode
+
 
 def payload_digest(payload: dict) -> str:
     """Short content digest of a result payload (canonical JSON, 16 hex).
@@ -45,16 +53,46 @@ def payload_digest(payload: dict) -> str:
     Used by clients and the CI smoke job to prove that deduped requests
     were served byte-identical results.
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    blob = _CANONICAL_JSON(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _wire_payload(payload: dict) -> dict:
-    """Drop the in-process-only exception object before serializing."""
+def _encode_payload(payload: dict) -> Tuple[bytes, str]:
+    """A payload's wire JSON and its :func:`payload_digest`.
+
+    Computed once per memory-tier entry (``ResultCache.encoded``) for
+    cache hits, once per line for fresh executions.
+    """
     if is_error_payload(payload) and "_exc" in payload:
+        # the in-process exception object never goes on the wire
         payload = {k: v for k, v in payload.items() if k != "_exc"}
-    return payload
+    return _WIRE_JSON(payload).encode("utf-8"), payload_digest(payload)
+
+
+def _record_line(index: int, spec: RunSpec, error: bool,
+                 encoded: Tuple[bytes, str]) -> bytes:
+    """One NDJSON record line around an already-encoded payload.
+
+    Byte-identical to ``json.dumps({"index", "spec", "digest", "error",
+    "payload_digest", "payload"}, separators=(",", ":"), default=str)``:
+    the payload is the last key, so its JSON closes the object.
+    """
+    wire, digest = encoded
+    head = _WIRE_JSON({"index": index, "spec": spec.describe(),
+                       "digest": spec.digest, "error": error,
+                       "payload_digest": digest})
+    return head[:-1].encode("utf-8") + b',"payload":' + wire + b"}\n"
+
+
+class _UnreadMetrics(MetricsRegistry):
+    """Metrics aggregate of a per-connection executor.
+
+    Nothing reads it (``/stats`` reports cache and sweep counters), so
+    resolving a hit skips folding the payload's run metrics into it.
+    """
+
+    def merge(self, other) -> "MetricsRegistry":
+        return self
 
 
 class SweepService:
@@ -93,6 +131,7 @@ class SweepService:
     def executor(self) -> SweepExecutor:
         """A per-connection executor over the shared cache/pool/ledger."""
         return SweepExecutor(jobs=self.jobs, cache=self.cache,
+                             metrics=_UnreadMetrics(),
                              timeout_s=self.timeout_s, ledger=self.ledger,
                              pool=self._shared_pool())
 
@@ -126,8 +165,13 @@ class SweepService:
 # ----------------------------------------------------------------------
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; returns (method, path, body) or None on EOF."""
-    line = await reader.readline()
+    """Parse one request; returns (method, path, body) or None on EOF.
+
+    A truncated body raises ``asyncio.IncompleteReadError`` (the caller
+    closes without replying); everything else malformed is an
+    :class:`_HttpError`.
+    """
+    line = await _read_line(reader)
     if not line:
         return None
     try:
@@ -136,19 +180,26 @@ async def _read_request(reader: asyncio.StreamReader
         raise _HttpError(400, "malformed request line")
     length = 0
     while True:
-        header = await reader.readline()
+        header = await _read_line(reader)
         if header in (b"\r\n", b"\n", b""):
             break
         name, _, value = header.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):  # refuses "-1"
                 raise _HttpError(400, "bad Content-Length")
+            length = int(value)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     return method.upper(), path, body
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # a line beyond the stream's 64 KiB limit
+        raise _HttpError(400, "request line or header too long")
 
 
 class _HttpError(Exception):
@@ -181,6 +232,8 @@ def _parse_batch(body: bytes) -> List[RunSpec]:
         data = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _HttpError(400, f"body is not valid JSON: {exc}")
+    except RecursionError:
+        raise _HttpError(400, "body is nested too deeply")
     if isinstance(data, dict):
         data = data.get("specs")
     if not isinstance(data, list) or not data:
@@ -199,53 +252,63 @@ def _parse_batch(body: bytes) -> List[RunSpec]:
 # ----------------------------------------------------------------------
 async def _stream_batch(service: SweepService, specs: List[RunSpec],
                         writer: asyncio.StreamWriter) -> None:
-    """Fan the batch into an executor thread, stream results as NDJSON."""
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
+    """Answer memory-tier hits on the loop, stream the rest from a thread.
+
+    The event loop itself only reads the in-memory tier
+    (``resolve_memory``): the response head and every hit line go out
+    in one write, each hit's payload encoded once per cache entry.
+    Shared-tier reads, claims and execution (``resolve_rest``) run in
+    an executor thread, which encodes and hands over one line at a time.
+    """
     executor = service.executor()
-
-    def pump() -> None:
-        try:
-            for index, spec, payload in executor.run_iter(specs):
-                loop.call_soon_threadsafe(queue.put_nowait,
-                                          (index, spec, payload))
-        except BaseException as exc:  # surfaced as the final line
-            loop.call_soon_threadsafe(queue.put_nowait, exc)
-        finally:
-            loop.call_soon_threadsafe(queue.put_nowait, None)
-
-    writer.write(_head(200, "application/x-ndjson"))
-    await writer.drain()
-    task = loop.run_in_executor(None, pump)
+    cache = service.cache
+    hits, rest = executor.resolve_memory(specs)
+    out = [_head(200, "application/x-ndjson")]
+    for index, spec, payload in hits:
+        out.append(_record_line(index, spec, False, cache.encoded(
+            spec.digest, payload, _encode_payload)))
+    streamed = len(hits)
     errors = 0
-    streamed = 0
     failure: Optional[BaseException] = None
-    while True:
-        item = await queue.get()
-        if item is None:
-            break
-        if isinstance(item, BaseException):
-            failure = item
-            continue
-        index, spec, payload = item
-        payload = _wire_payload(payload)
-        if is_error_payload(payload):
-            errors += 1
-        line = {"index": index, "spec": spec.describe(),
-                "digest": spec.digest, "error": is_error_payload(payload),
-                "payload_digest": payload_digest(payload),
-                "payload": payload}
-        writer.write(json.dumps(line, separators=(",", ":"),
-                                default=str).encode("utf-8") + b"\n")
-        await writer.drain()
-        streamed += 1
-    await task
+    if rest.pending:
+        writer.write(b"".join(out))
+        out = []
+        loop = asyncio.get_running_loop()
+        queue: asyncio.Queue = asyncio.Queue()
+
+        def pump() -> None:
+            try:
+                for index, spec, payload in executor.resolve_rest(rest):
+                    error = is_error_payload(payload)
+                    line = _record_line(index, spec, error,
+                                        _encode_payload(payload))
+                    loop.call_soon_threadsafe(queue.put_nowait, (line, error))
+            except BaseException as exc:  # surfaced as the final line
+                loop.call_soon_threadsafe(queue.put_nowait, exc)
+            finally:
+                loop.call_soon_threadsafe(queue.put_nowait, None)
+
+        task = loop.run_in_executor(None, pump)
+        while True:
+            item = await queue.get()
+            if item is None:
+                break
+            if isinstance(item, BaseException):
+                failure = item
+                continue
+            line, error = item
+            if error:
+                errors += 1
+            writer.write(line)
+            await writer.drain()
+            streamed += 1
+        await task
     tail: Dict[str, Any] = {"done": True, "count": streamed, "errors": errors,
                             "sweep": executor.sweep.line()}
     if failure is not None:
         tail["failed"] = f"{type(failure).__name__}: {failure}"
-    writer.write(json.dumps(tail, separators=(",", ":"),
-                            default=str).encode("utf-8") + b"\n")
+    out.append(_WIRE_JSON(tail).encode("utf-8") + b"\n")
+    writer.write(b"".join(out))
     await writer.drain()
     service.batches += 1
     service.totals.merge(executor.sweep)
